@@ -17,7 +17,8 @@ One snapshot covers, per phase:
 * **steady_columnar** — the same pass with the columnar-native engine;
 * **steady_batch** — the same workload through ``query_batch`` in chunks;
 * **steady_parallel** — a worker-count sweep of the same batched workload
-  through ``query_batch(..., workers=K)`` over a sharded buffer pool, one
+  through ``query_batch(..., workers=K)`` over a pool asked for
+  ``buffer_shards`` shards (effective shards and capacity recorded), one
   entry per requested ``K`` (``workers=1`` is the serial-batch baseline
   the parallel speedup is computed against); ``--executor process``
   drives the sweep through the GIL-free process pool instead of threads;
@@ -398,8 +399,11 @@ def run_perf_snapshot(
     ``workers`` is the worker-count sweep of the parallel-batch phase;
     each count runs the batched workload through
     ``query_batch(..., workers=K)`` on its own converged engine whose
-    disk uses ``buffer_shards`` lock-striped buffer-pool shards.  Pass an
-    empty tuple to skip the sweep.
+    disk asks for ``buffer_shards`` lock-striped buffer-pool shards; the
+    pool clamps that to its page budget (one shard when the suite's pool
+    has no pages), and the phase records the effective ``buffer_shards``
+    and ``buffer_capacity_pages``.  Pass an empty tuple to skip the
+    sweep.
 
     ``concurrent_threads`` sizes the epoch-overlap phase: that many
     threads each run the full chunked workload through
@@ -537,10 +541,15 @@ def run_perf_snapshot(
 
     # Parallel-batch worker sweep: each worker count gets its own engine
     # (converged identically — the oracle guarantees state equality) over
-    # a sharded buffer pool so lock striping is measured, not serialized.
+    # a pool asked for ``buffer_shards`` shards.  The pool clamps the
+    # shard count to its page budget (a zero-page pool is one shard that
+    # caches nothing), so the snapshot records the effective shard count
+    # and capacity rather than the request.
     sweep: list[dict[str, Any]] = []
+    sweep_pool = None
     for worker_count in workers:
         forked = suite.fork(buffer_shards=buffer_shards)
+        sweep_pool = forked.disk.buffer_pool
         engine = SpaceOdyssey(forked.catalog, config)
 
         def run_parallel(k: int = worker_count, odyssey: SpaceOdyssey = engine) -> None:
@@ -575,7 +584,8 @@ def run_perf_snapshot(
     if sweep:
         phases["steady_parallel"] = {
             "batch_size": batch_size,
-            "buffer_shards": buffer_shards,
+            "buffer_shards": getattr(sweep_pool, "n_shards", 1),
+            "buffer_capacity_pages": sweep_pool.capacity_pages,
             "executor": executor,
             "sweep": sweep,
         }

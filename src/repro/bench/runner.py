@@ -142,7 +142,7 @@ def run_approach(
         I/O *timings* may vary slightly run-to-run: threads fetch pages
         in scheduler-dependent order, which shifts head-position
         classification and cache hit patterns (see
-        :mod:`repro.core.parallel`).  For strictly deterministic
+        :mod:`repro.core.batch`).  For strictly deterministic
         simulated figures — the paper-reproduction numbers — keep
         ``workers=1``.
     """

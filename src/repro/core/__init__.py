@@ -30,16 +30,17 @@ the whole batch with the vectorized kernels of
 shared read set layered on the buffer pool, and statistics, refinement and
 merging are applied once per batch — with per-query results and the
 post-batch adaptive state guaranteed identical to sequential execution.
-:mod:`repro.core.parallel` fans the read-only phases of a batch across a
-thread pool (``query_batch(..., workers=K)``) while keeping the adaptive
-updates in a single deterministic writer phase, bit-identical to the
-serial batch.
+``query()`` is that pipeline on a batch of one.  The read phase can fan
+out across a thread pool or, through :mod:`repro.core.parallel`, worker
+processes (``query_batch(..., workers=K)``), or read a pinned epoch
+without the gate (``snapshot=True``, :mod:`repro.core.epoch`); the
+adaptive updates always replay in one deterministic writer phase, so
+every mode is bit-identical to the serial batch.
 """
 
 from repro.core.batch import BatchResult, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.parallel import ParallelExecutor
 from repro.core.partition import PartitionNode, PartitionTree
 from repro.core.query_processor import QueryReport
 from repro.core.recovery import DurabilityLog, RecoveryError
@@ -49,7 +50,6 @@ __all__ = [
     "BatchResult",
     "DurabilityLog",
     "OdysseyConfig",
-    "ParallelExecutor",
     "PartitionNode",
     "PartitionTree",
     "QueryBatch",

@@ -91,10 +91,10 @@ class OdysseyConfig:
         Implementation switch, not a paper parameter: the default executor
         ``query_batch(..., workers=K)`` fans out on when no per-call
         ``executor=`` is given.  ``"thread"`` (the default) runs the
-        thread-pool executor; ``"process"`` runs the process-pool executor
-        (:class:`~repro.core.parallel.ProcessExecutor`) whose workers
-        decode and filter pages over shared-memory/mmap buffers outside
-        the GIL.  Both are bit-identical to the serial batch engine in
+        thread-pool fan-out; ``"process"`` runs the process-pool fan-out
+        (:class:`~repro.core.parallel.ProcessFanOut`) whose workers
+        decode and filter pages staged in shared memory, outside the
+        GIL.  Both are bit-identical to the serial batch engine in
         results, reports, adaptive state and on-disk bytes (enforced by
         ``tests/test_engine_fuzz.py``).
     """

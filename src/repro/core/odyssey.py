@@ -237,50 +237,47 @@ class SpaceOdyssey(MultiDatasetIndex):
         ``queries`` is an iterable of ``(box, dataset_ids)`` pairs,
         :class:`~repro.workload.query.RangeQuery` instances (so a
         :class:`~repro.workload.builder.Workload` works directly), or an
-        already-built :class:`~repro.core.batch.QueryBatch`.  Per-query
-        result *sets*, reports and the post-batch adaptive state are
-        identical to calling :meth:`query` once per entry in order; the
-        batch only amortises the work (vectorized overlap tests and
-        filtering, page reads deduplicated across the batch).  Two
+        already-built :class:`~repro.core.batch.QueryBatch`.  The batch
+        runs the same pipeline :meth:`query` runs on a batch of one:
+        a read phase (initialise untouched trees, resolve overlaps with
+        one vectorized kernel call per combination group and dataset,
+        route, read and filter through a shared read set that decodes
+        each stored group once), then the writer phase (CPU charges,
+        then statistics, refinement and merging replayed per query in
+        submission order, epoch publish, journal).  Per-query result
+        *sets*, reports and the post-batch adaptive state are therefore
+        identical to calling :meth:`query` once per entry in order.  Two
         documented deviations: hits may come back in a different order
         within a query's result list, and ``QueryReport.objects_examined``
-        may differ because the batch reads against start-of-batch trees
-        (see :mod:`repro.core.batch`).
+        may differ because the batch reads against start-of-batch trees.
 
-        ``workers=K`` (``K > 1``) executes the batch through the
-        thread-parallel engine (:mod:`repro.core.parallel`): overlap
-        resolution fans out per combination group and page decode +
-        filtering per query, while all adaptive updates replay through the
-        same single-threaded deterministic writer phase — results (hit
-        order included), reports, adaptive state and on-disk bytes are
-        bit-identical to ``workers=1``.  Pair it with a sharded buffer
-        pool (``Disk(buffer_shards=...)``) on multi-core hosts.
+        Every mode below is that pipeline with a different read phase;
+        all are bit-identical to the serial batch in results (hit order
+        included), reports, adaptive state, on-disk bytes and charged
+        page reads.
 
-        ``executor="process"`` swaps the thread pool for a *process* pool
-        (:class:`~repro.core.parallel.ProcessExecutor`): workers decode
-        and filter page bytes outside the GIL, reading them zero-copy
-        from an ``mmap`` of the page files (plain filesystem backend) or
-        from a shared-memory staging block the parent fills through the
-        normal charged read path (any other backend).  The deterministic
-        writer replay never leaves the parent process, so this mode is
-        bit-identical to the others as well.  ``executor=None`` defers
-        to ``OdysseyConfig.batch_executor`` (default ``"thread"``).
-        Process workers pay a real serialization cost per hit, so this
-        mode wins when decode + filter dominate — large pages,
-        compression enabled, or CPU-heavy filtering.
+        ``workers=K`` (``K > 1``) fans the read phase out — overlap
+        resolution per combination group, read + filter per query — to
+        ``K`` threads (``executor="thread"``; NumPy releases the GIL in
+        its kernels; pair it with ``Disk(buffer_shards=...)``) or ``K``
+        worker processes (``executor="process"``,
+        :mod:`repro.core.parallel`: the parent stages each distinct
+        group's pages once through the normal charged read path into
+        shared memory, and workers decode and filter outside the GIL).
+        ``executor=None`` defers to ``OdysseyConfig.batch_executor``
+        (default ``"thread"``).  ``workers=None`` or ``1`` and
+        single-query batches read serially.
 
-        ``snapshot=True`` executes through the epoch-snapshot engine
-        (:mod:`repro.core.epoch`, requires
-        ``OdysseyConfig(snapshot_reads=True)``, the default): the read
-        phase runs lock-free against a pinned epoch, so it overlaps with
-        other batches' writer phases; only the short in-order adaptive
-        replay takes the gate.  In isolation a snapshot batch is
-        bit-identical to the serial batch executor; under concurrency
-        per-batch results stay exact (answers depend only on the data
-        and the query window) while writer phases serialize in arrival
-        order.  Here ``workers`` defaults to *serial* reads — the
-        overlap is between batches — and ``workers=K > 1`` additionally
-        fans this batch's reads across ``K`` threads.
+        ``snapshot=True`` reads a pinned epoch (:mod:`repro.core.epoch`,
+        requires ``OdysseyConfig(snapshot_reads=True)``, the default)
+        instead of the live state, so the read phase runs without the
+        gate and overlaps other batches' writer phases; only the writer
+        phase takes the gate.  Under concurrency per-batch results stay
+        exact (answers depend only on the data and the query window)
+        while writer phases serialize in arrival order.  Here
+        ``workers`` defaults to serial reads — the overlap is between
+        batches — and ``workers=K > 1`` fans this batch's reads across
+        ``K`` threads; ``executor="process"`` is rejected.
         """
         return self._processor.execute_batch(
             queries, workers=workers, snapshot=snapshot, executor=executor
@@ -289,17 +286,22 @@ class SpaceOdyssey(MultiDatasetIndex):
     def prepare_batch(self, queries, *, workers: int | None = None):
         """Run a batch's lock-free snapshot read phase; defer the writer phase.
 
-        Returns a :class:`~repro.core.epoch.PreparedBatch` whose results
+        Returns a :class:`~repro.core.batch.PreparedBatch` whose results
         are fully materialized against a pinned epoch.  Pass it to
-        :meth:`commit_batch` to apply CPU charges and the in-order
-        adaptive replay (and publish the next epoch).  The serving
-        frontend uses this split to pipeline: the dispatcher prepares
-        batch N+1 while the writer thread commits batch N.
+        :meth:`commit_batch` — once, on this engine — to apply CPU
+        charges and the in-order adaptive replay (and publish the next
+        epoch).  The serving frontend uses this split to pipeline: the
+        dispatcher prepares batch N+1 while the writer thread commits
+        batch N.
         """
         return self._processor.prepare_batch(queries, workers=workers)
 
     def commit_batch(self, prepared) -> "BatchResult":
-        """Apply a prepared batch's writer phase and return its result."""
+        """Apply a prepared batch's writer phase and return its result.
+
+        Raises ``ValueError``, before any state changes, for a batch that
+        was already committed or that another engine prepared.
+        """
         return self._processor.commit_batch(prepared)
 
     @property

@@ -1,79 +1,50 @@
-"""Thread-parallel batch execution with a deterministic writer phase.
+"""Process fan-out: the read phase of a batch in worker processes.
 
-:class:`ParallelExecutor` runs the same four-phase model as
-:class:`~repro.core.batch.BatchExecutor` but fans the read-only middle out
-across a :class:`~concurrent.futures.ThreadPoolExecutor`:
+:class:`ProcessFanOut` is the third fan-out of the one pipeline in
+:mod:`repro.core.batch` (after the serial loop and the thread pool).  It
+runs the read phase's two data-parallel steps in a pool of worker
+*processes*, so page decode and filtering scale past the GIL.  Nothing
+mutable crosses the process boundary:
 
-* **overlap resolution** is one task per combination group — each task
-  resolves all of its group's query windows with one
-  :meth:`~repro.core.partition.PartitionTree.leaves_overlapping_batch`
-  kernel call over prebuilt leaf snapshots;
-* **retrieval and filtering** is one task per query — page decode and the
-  vectorized window mask run concurrently, with group reads deduplicated
-  through a thread-safe :class:`ParallelReadSet` (per-key locks, so one
-  group is decoded exactly once no matter how many queries race for it).
+* **overlap resolution** ships each combination group's leaf-MBR corner
+  matrices and extended windows; workers run the same
+  ``intersect_matrix`` kernel and return leaf *indices*, which the parent
+  maps back to ``PartitionNode`` objects through the leaf snapshot it
+  shipped;
+* **read + filter** stages page bytes first: the parent reads every
+  distinct stored group of the batch's read plans once, in first-use
+  order, through the normal charged :meth:`Disk.read_run
+  <repro.storage.disk.Disk.read_run>` path — so I/O accounting, the
+  buffer pool, retries and fault absorption happen parent-side exactly as
+  for the serial fan-out, and workers only ever see healed bytes — into
+  one ``multiprocessing.shared_memory`` block.  Workers attach to it,
+  decode and filter each query's plan, and return plain hit objects.
 
-Everything that *mutates* engine state stays single-threaded and ordered:
-
-* phase 1 initialises missing trees in sequential first-touch order before
-  any worker starts (tree initialisation writes partition files);
-* simulated CPU charges for the filtered records are applied in submission
-  order after the parallel phase completes, so the accumulated
-  ``cpu_seconds`` is the identical float sum the serial batch produces;
-* phase 4 replays statistics, refinement and merging in submission order —
-  the same deterministic writer phase the serial batch executor uses.
-
-Because the parallel phases only read start-of-batch state and every
-worker-side computation (plan construction, on-disk-order sorting, collect
-order) is a deterministic function of that state, a parallel batch returns
-bit-identical results (hit order included), ``QueryReport``\\ s, adaptive
-state and on-disk bytes to the serial batch executor — and therefore, by
-the batch oracle, result-identical state to sequential execution.  The
-randomized differential fuzz harness (``tests/test_engine_fuzz.py``)
-enforces this across engines, seeds and worker counts.
-
-What is *not* reproduced bit-for-bit is the simulated I/O trace: threads
-fetch pages in nondeterministic order, so head-position classification
-(sequential vs random) and buffer-pool hit patterns may differ between
-runs.  That trace never feeds back into results or adaptive decisions —
-the cache is read-through/write-through and refinement depends only on
-tree state and query windows — which is exactly why it can be left free.
-
-Where the speedup comes from: NumPy releases the GIL inside its kernels
-and the byte-copy work under the disk lock is small, so the decode +
-filter work of independent queries overlaps on multi-core hosts.  Pair
-``workers > 1`` with a sharded buffer pool
-(``Disk(buffer_shards=...)``) so the decoded-array cache stripes its
-lock contention as well.  On a single core (or for tiny batches) the
-thread fan-out only adds overhead — ``workers=1`` falls back to the
-serial batch executor.
+Everything else — validation, initialisation, routing, planning and the
+whole writer phase — runs in the parent, in the one pipeline, so the
+process fan-out is bit-identical to the serial batch in results (hit
+order included), reports, adaptive state, on-disk bytes and charged page
+reads.  Pools are cached per worker count and reaped at exit; if a
+worker dies mid-batch (``BrokenProcessPool``) the batch's read phase
+reruns on threads (:meth:`ProcessFanOut.fallback`).
 """
 
 from __future__ import annotations
 
 import atexit
-import mmap
 import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchExecutor,
-    BatchQuery,
-    BatchReadSet,
-    BatchResult,
-    QueryBatch,
-)
+from repro.core.batch import BatchQuery, FanOut, PlanEntry, QueryReads, ThreadFanOut
 from repro.core.partition import PartitionNode
-from repro.core.query_processor import QueryProcessor
 from repro.data.columnar import DecodedGroup
-from repro.data.spatial_object import SpatialObject
+from repro.data.spatial_object import SpatialObject, spatial_object_dtype
 from repro.geometry.box import Box
 from repro.geometry.vectorized import (
     box_to_arrays,
@@ -81,257 +52,7 @@ from repro.geometry.vectorized import (
     intersect_mask,
     intersect_matrix,
 )
-from repro.obs.trace import maybe_span
-from repro.storage.buffer import BufferCounters
 from repro.storage.codec import decode_page_array
-from repro.storage.pagedfile import PagedFile, StoredRun
-
-
-def default_workers() -> int:
-    """The worker count used when ``workers`` is requested but unspecified."""
-    return min(8, os.cpu_count() or 1)
-
-
-class ParallelReadSet(BatchReadSet):
-    """A :class:`BatchReadSet` safe for concurrent readers.
-
-    The dedup dictionary is guarded by one lock; decoding happens under a
-    *per-group* lock so two queries racing for the same stored group never
-    decode it twice (the loser blocks briefly, then counts a dedup hit),
-    while queries needing different groups decode fully in parallel.
-    Counter semantics match the serial read set exactly: ``group_reads``
-    is the number of :meth:`read` calls and ``dedup_hits`` is that count
-    minus the number of distinct groups, regardless of interleaving.
-    """
-
-    def __init__(self, dimension: int) -> None:
-        super().__init__(dimension)
-        self._registry_lock = threading.Lock()
-        self._group_locks: dict[tuple, threading.Lock] = {}
-
-    def read(self, file: PagedFile[SpatialObject], run: StoredRun) -> DecodedGroup:
-        """The decoded records of one stored group (decoded exactly once)."""
-        key = (file.name, run.extents, run.n_records)
-        with self._registry_lock:
-            self.group_reads += 1
-            group = self._groups.get(key)
-            if group is not None:
-                self.dedup_hits += 1
-                return group
-            lock = self._group_locks.setdefault(key, threading.Lock())
-        with lock:
-            group = self._groups.get(key)
-            if group is None:
-                group = self._load(file, run)
-                with self._registry_lock:
-                    self._groups[key] = group
-            else:
-                with self._registry_lock:
-                    self.dedup_hits += 1
-        return group
-
-
-class ParallelExecutor(BatchExecutor):
-    """Runs one :class:`QueryBatch` across ``workers`` threads.
-
-    Results, reports, adaptive state and on-disk bytes are bit-identical
-    to :class:`~repro.core.batch.BatchExecutor` (see the module docstring
-    for the argument); only wall-clock time and the per-query
-    ``QueryReport.cache`` attribution — approximate under any batched
-    execution — may differ.
-    """
-
-    def __init__(self, processor: QueryProcessor, workers: int | None = None) -> None:
-        super().__init__(processor)
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._workers = workers
-
-    @property
-    def workers(self) -> int:
-        """The maximum number of worker threads used per batch."""
-        return self._workers
-
-    _executor_name = "thread"
-
-    def run(self, batch: QueryBatch) -> BatchResult:
-        """Execute the batch; equivalent to sequential execution in order."""
-        if self._workers == 1 or len(batch) < 2:
-            return super().run(batch)
-        processor = self._processor
-        queries = batch.queries
-        catalog = processor.catalog
-        for query in queries:
-            for dataset_id in query.requested:
-                catalog.get(dataset_id)  # validates every id before any work
-
-        tracer = processor.tracer
-        with maybe_span(
-            tracer,
-            "batch",
-            queries=len(queries),
-            executor=self._executor_name,
-            workers=self._workers,
-        ):
-            # Writer-side setup: initialise trees in first-touch order, then
-            # freeze everything the workers will consume — extended windows,
-            # per-tree leaf snapshots, routing decisions and merge-file
-            # handles — so the parallel phases run over immutable state.
-            with maybe_span(tracer, "batch.init_trees"):
-                first_touch = self._initialize_trees(queries)
-                extended = self._extended_windows(queries)
-                self._prebuild_read_state(batch)
-                decisions = self._route_decisions(batch)
-                for decision in decisions.values():
-                    if decision.merge_info is not None:
-                        processor.merger.merge_file(decision.merge_info.combination)
-
-            with ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-batch"
-            ) as executor:
-                with maybe_span(tracer, "batch.overlap"):
-                    needed0, versions0 = self._resolve_overlaps_parallel(
-                        batch, extended, executor
-                    )
-                read_set = ParallelReadSet(catalog.dimension)
-                with maybe_span(tracer, "batch.read_filter") as phase:
-                    results, examined, cache_deltas = self._read_and_filter_parallel(
-                        batch, needed0, decisions, read_set, executor,
-                        tracer=tracer, parent=phase,
-                    )
-
-            # Deterministic writer phase: CPU charges in submission order
-            # (the identical float sum the serial batch accumulates), then
-            # the ordered replay of statistics, refinement and merging.
-            with maybe_span(tracer, "batch.replay"):
-                disk = catalog.datasets()[0].disk
-                for query in queries:
-                    disk.charge_cpu_records(examined[query.index])
-                reports = self._replay_updates(
-                    queries, first_touch, extended, needed0, versions0, results,
-                    examined, cache_deltas,
-                )
-        return BatchResult(
-            results=results,
-            reports=reports,
-            group_reads=read_set.group_reads,
-            group_reads_deduped=read_set.dedup_hits,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Parallel phase 2 — overlap resolution, one task per combination group
-    # ------------------------------------------------------------------ #
-
-    def _prebuild_read_state(self, batch: QueryBatch) -> None:
-        """Build every involved tree's leaf snapshot before fanning out.
-
-        Snapshot construction mutates the tree's cache; doing it here —
-        single-threaded, in sorted dataset order — keeps the parallel
-        phases free of writes to shared structures.
-        """
-        trees = self._processor.live_trees
-        involved = sorted({d for query in batch.queries for d in query.requested})
-        for dataset_id in involved:
-            trees[dataset_id].leaf_snapshot()
-
-    def _resolve_overlaps_parallel(
-        self,
-        batch: QueryBatch,
-        extended: dict[tuple[int, int], Box],
-        executor: ThreadPoolExecutor,
-    ) -> tuple[dict[tuple[int, int], list[PartitionNode]], dict[int, int]]:
-        """Per-(query, dataset) overlapping leaves, one task per group."""
-        trees = self._processor.live_trees
-        versions0: dict[int, int] = {}
-        groups = batch.groups()
-        for combination in groups:
-            for dataset_id in combination:
-                versions0[dataset_id] = trees[dataset_id].version
-
-        def resolve(
-            combination: frozenset[int], group: list[BatchQuery]
-        ) -> dict[tuple[int, int], list[PartitionNode]]:
-            local: dict[tuple[int, int], list[PartitionNode]] = {}
-            for dataset_id in sorted(combination):
-                windows = [extended[(query.index, dataset_id)] for query in group]
-                per_query = trees[dataset_id].leaves_overlapping_batch(windows)
-                for query, leaves in zip(group, per_query):
-                    local[(query.index, dataset_id)] = leaves
-            return local
-
-        futures = [
-            executor.submit(resolve, combination, group)
-            for combination, group in groups.items()
-        ]
-        needed0: dict[tuple[int, int], list[PartitionNode]] = {}
-        for future in futures:  # merged in submission (group) order
-            needed0.update(future.result())
-        return needed0, versions0
-
-    # ------------------------------------------------------------------ #
-    # Parallel phase 3 — retrieval and filtering, one task per query
-    # ------------------------------------------------------------------ #
-
-    def _read_and_filter_parallel(
-        self,
-        batch: QueryBatch,
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        decisions,
-        read_set: ParallelReadSet,
-        executor: ThreadPoolExecutor,
-        *,
-        tracer=None,
-        parent=None,
-    ) -> tuple[list[list[SpatialObject]], list[int], list[BufferCounters]]:
-        """Every query's decode + filter as one concurrent task.
-
-        With a tracer attached, each task records a ``query.filter`` span
-        explicitly parented on the dispatching phase span (``parent``) —
-        worker threads have empty span stacks, so implicit nesting cannot
-        apply across the pool boundary.
-        """
-        pool = self._processor.catalog.datasets()[0].disk.buffer_pool
-
-        def work(
-            query: BatchQuery,
-        ) -> tuple[list[SpatialObject], int, BufferCounters]:
-            with maybe_span(
-                tracer, "query.filter", parent=parent, query=query.index
-            ) as span:
-                cache_start = pool.counters()
-                hits, count = self._filter_one_query(
-                    query, needed0, decisions, read_set
-                )
-                if span is not None:
-                    span.attributes.update(hits=len(hits), examined=count)
-                return hits, count, pool.counters().delta_since(cache_start)
-
-        futures = [executor.submit(work, query) for query in batch.queries]
-        results: list[list[SpatialObject]] = [[] for _ in batch.queries]
-        examined: list[int] = [0 for _ in batch.queries]
-        cache_deltas: list[BufferCounters] = [BufferCounters() for _ in batch.queries]
-        for query, future in zip(batch.queries, futures):
-            hits, count, delta = future.result()
-            results[query.index] = hits
-            examined[query.index] = count
-            cache_deltas[query.index] = delta
-        return results, examined, cache_deltas
-
-
-# ---------------------------------------------------------------------- #
-# Process-parallel execution
-# ---------------------------------------------------------------------- #
-#
-# ProcessExecutor escapes the GIL entirely: the read-only phases (overlap
-# resolution, page decode, vectorized filtering) run in a pool of worker
-# *processes*.  Nothing mutable crosses the process boundary — workers
-# receive immutable page bytes (a shared-memory staging block, or an mmap
-# of the page file for a plain filesystem backend) plus plain-data task
-# descriptions, and return plain hit objects.  The deterministic writer
-# phase is byte-for-byte the one the serial batch executor runs, in the
-# parent, under the gate.
 
 _pool_lock = threading.Lock()
 _pools: dict[int, ProcessPoolExecutor] = {}
@@ -424,32 +145,8 @@ def _resolve_overlap_group(payload, trace: bool = False):
     return out
 
 
-def _decode_worker_group(task, source, handles) -> DecodedGroup:
-    """Decode one staged group inside a worker (zero-copy where possible)."""
-    kind = source[0]
-    offsets = source[2] if kind == "mmap" else source[1]
-    if not offsets:
-        # A zero-page group (an empty merge segment): nothing staged for
-        # it, so don't touch the buffers — there may not even be a
-        # staging block when the whole batch stages nothing.
-        records = np.empty(0, dtype=task["dtype"])
-        records.setflags(write=False)
-        return DecodedGroup.from_records(records, task["dimension"])
-    if kind == "shm":
-        _, offsets, n_records = source
-        handle = handles.get("shm")
-        if handle is None:
-            handle = _attach_shared_memory(task["shm_name"])
-            handles["shm"] = handle
-        buffer = handle.buf
-    else:
-        _, path, offsets, n_records = source
-        handle = handles.get(("mmap", path))
-        if handle is None:
-            with open(path, "rb") as stream:
-                handle = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
-            handles[("mmap", path)] = handle
-        buffer = memoryview(handle)
+def _decode_worker_group(task, offsets, n_records, buffer) -> DecodedGroup:
+    """Decode one staged group inside a worker (zero-copy over the block)."""
     dtype = task["dtype"]
     page_size = task["page_size"]
     parts = []
@@ -472,8 +169,8 @@ def _decode_worker_group(task, source, handles) -> DecodedGroup:
     return DecodedGroup.from_records(records[:n_records], task["dimension"])
 
 
-def _filter_staged_query(task, handles) -> list[SpatialObject]:
-    """Decode + filter one query's plan over staged pages (worker side)."""
+def _filter_staged_query(task, buffer) -> list[SpatialObject]:
+    """Decode + filter one query's plan over the staged pages (worker side)."""
     q_lo = task["q_lo"]
     q_hi = task["q_hi"]
     groups: dict = {}
@@ -481,7 +178,7 @@ def _filter_staged_query(task, handles) -> list[SpatialObject]:
     for dataset_id, source in task["plan"]:
         group = groups.get(source)
         if group is None:
-            group = _decode_worker_group(task, source, handles)
+            group = _decode_worker_group(task, *source, buffer)
             groups[source] = group
         mask = (group.dataset_ids == dataset_id) & intersect_mask(
             q_lo, q_hi, group.lo, group.hi
@@ -491,13 +188,14 @@ def _filter_staged_query(task, handles) -> list[SpatialObject]:
 
 
 def _filter_query_task(task):
-    """Pool entry point: run one query's filter, then release the mappings.
+    """Pool entry point: run one query's filter, then release the block.
 
     The decode/filter work runs in an inner call so every NumPy view over
-    the shared buffers dies with that frame *before* the mappings are
-    closed (closing an mmap or shared-memory segment with live exported
-    buffers raises ``BufferError``).  The returned hits are plain Python
-    objects with no ties to the mappings.
+    the shared block dies with that frame *before* the block is closed
+    (closing a shared-memory segment with live exported buffers raises
+    ``BufferError``).  The returned hits are plain Python objects with no
+    ties to the block.  A query with an empty plan has nothing staged and
+    never attaches.
 
     When the task carries ``trace=True`` the return value becomes
     ``(hits, (start_wall, duration_s, pid))`` so the parent can graft the
@@ -505,149 +203,57 @@ def _filter_query_task(task):
     """
     start_wall = time.time()
     start_perf = time.perf_counter()
-    handles: dict = {}
-    try:
-        hits = _filter_staged_query(task, handles)
-    finally:
-        for handle in handles.values():
+    if task["plan"]:
+        handle = _attach_shared_memory(task["shm_name"])
+        try:
+            hits = _filter_staged_query(task, handle.buf)
+        finally:
             try:
                 handle.close()
             except (BufferError, OSError, ValueError):  # pragma: no cover
                 pass
-    if task.get("trace"):
+    else:
+        hits = []
+    if task["trace"]:
         return hits, (start_wall, time.perf_counter() - start_perf, os.getpid())
     return hits
 
 
-class ProcessExecutor(ParallelExecutor):
-    """Runs one :class:`QueryBatch` across ``workers`` processes.
+class ProcessFanOut(FanOut):
+    """The read phase's two steps in ``workers`` worker processes.
 
-    Same contract as :class:`ParallelExecutor` — results (hit order
-    included), reports, adaptive state and on-disk bytes are bit-identical
-    to the serial batch executor — but the read-only phases run in worker
-    *processes*, so page decode and filtering scale past the GIL.
-
-    What crosses the process boundary, and how:
-
-    * **overlap resolution** ships each prebuilt leaf snapshot's MBR
-      corner matrices plus the group's extended windows; workers run the
-      same ``intersect_matrix`` kernel and return leaf *indices*, which
-      the parent maps back to live ``PartitionNode`` objects.
-    * **page decode + filtering** ships raw page bytes.  On a plain
-      filesystem backend workers ``mmap`` the page files read-only and
-      decode ``np.frombuffer`` views straight over the mapping (zero
-      copy, CRC trailers verified per access).  Any other backend —
-      in-memory, fault-injecting, retrying — is staged instead: the
-      parent reads every distinct group's pages once through the normal
-      :meth:`Disk.read_run` path (so cache accounting and any retry
-      layer's semantics are preserved and injected faults are absorbed
-      *before* bytes reach workers) into one ``multiprocessing.shared_memory``
-      block that workers attach to read-only.
-    * the deterministic **writer phase** (CPU charges in submission
-      order, then the statistics/refinement/merge replay) never leaves
-      the parent; it is the identical code path every other engine runs
-      under the gate.
-
-    Like the thread executor, the simulated I/O trace is not reproduced
-    bit-for-bit (mmap reads are not charged at all); that trace never
-    feeds back into results or adaptive decisions.  If the pool dies
-    (a worker killed mid-batch), the batch transparently re-runs on the
-    thread executor — every pre-step is idempotent and no adaptive state
-    has been touched yet.
+    Serves the live read state (snapshot reads are thread-only: the
+    epoch object graph is not shipped across processes).  See the module
+    docstring for what crosses the process boundary.
     """
 
-    _executor_name = "process"
+    name = "process"
 
-    def run(self, batch: QueryBatch) -> BatchResult:
-        """Execute the batch; equivalent to sequential execution in order."""
-        if self._workers == 1 or len(batch) < 2:
-            return BatchExecutor.run(self, batch)
-        processor = self._processor
-        queries = batch.queries
-        catalog = processor.catalog
-        for query in queries:
-            for dataset_id in query.requested:
-                catalog.get(dataset_id)  # validates every id before any work
+    def __enter__(self) -> "ProcessFanOut":
+        self._pool = _process_pool(self.workers)
+        return self
 
-        tracer = processor.tracer
-        with maybe_span(
-            tracer,
-            "batch",
-            queries=len(queries),
-            executor=self._executor_name,
-            workers=self._workers,
-        ):
-            with maybe_span(tracer, "batch.init_trees"):
-                first_touch = self._initialize_trees(queries)
-                extended = self._extended_windows(queries)
-                self._prebuild_read_state(batch)
-                decisions = self._route_decisions(batch)
-                for decision in decisions.values():
-                    if decision.merge_info is not None:
-                        processor.merger.merge_file(decision.merge_info.combination)
+    def fallback(self) -> ThreadFanOut:
+        """Drop the broken pool; the batch reruns its read phase on threads."""
+        _discard_pool(self.workers)
+        return ThreadFanOut(self.workers)
 
-            try:
-                pool = _process_pool(self._workers)
-                with maybe_span(tracer, "batch.overlap") as overlap_span:
-                    needed0, versions0 = self._resolve_overlaps_process(
-                        batch, extended, pool, tracer=tracer, parent=overlap_span
-                    )
-                with maybe_span(tracer, "batch.read_filter") as filter_span:
-                    results, examined, read_counts = self._read_and_filter_process(
-                        batch, needed0, decisions, pool,
-                        tracer=tracer, parent=filter_span,
-                    )
-            except BrokenProcessPool:
-                # A worker died (OOM kill, signal).  Nothing adaptive has
-                # been touched and the setup above is idempotent, so fall
-                # back to the thread executor for this batch and start a
-                # fresh pool next time.
-                _discard_pool(self._workers)
-                return super().run(batch)
-
-            with maybe_span(tracer, "batch.replay"):
-                disk = catalog.datasets()[0].disk
-                for query in queries:
-                    disk.charge_cpu_records(examined[query.index])
-                cache_deltas = [BufferCounters() for _ in queries]
-                reports = self._replay_updates(
-                    queries, first_touch, extended, needed0, versions0, results,
-                    examined, cache_deltas,
-                )
-        return BatchResult(
-            results=results,
-            reports=reports,
-            group_reads=read_counts[0],
-            group_reads_deduped=read_counts[1],
-        )
-
-    def _resolve_overlaps_process(
+    def resolve(
         self,
-        batch: QueryBatch,
+        state,
+        groups: dict[frozenset[int], list[BatchQuery]],
         extended: dict[tuple[int, int], Box],
-        pool: ProcessPoolExecutor,
-        *,
         tracer=None,
         parent=None,
-    ) -> tuple[dict[tuple[int, int], list[PartitionNode]], dict[int, int]]:
+    ) -> dict[tuple[int, int], list[PartitionNode]]:
         """Overlap resolution in workers, one task per combination group."""
-        trees = self._processor.live_trees
-        dimension = self._processor.catalog.dimension
-        versions0: dict[int, int] = {}
-        snapshots: dict[int, object] = {}
-        groups = batch.groups()
-        for combination in groups:
-            for dataset_id in combination:
-                versions0[dataset_id] = trees[dataset_id].version
-                if dataset_id not in snapshots:
-                    snapshots[dataset_id] = trees[dataset_id].leaf_snapshot()
         futures = []
         for combination, group in groups.items():
             payload = []
             for dataset_id in sorted(combination):
-                snapshot = snapshots[dataset_id]
+                snapshot = state.leaf_snapshot(dataset_id)
                 windows = [extended[(query.index, dataset_id)] for query in group]
-                q_lo, q_hi = boxes_to_arrays(windows, dimension=dimension)
+                q_lo, q_hi = boxes_to_arrays(windows)
                 payload.append(
                     (
                         dataset_id,
@@ -658,10 +264,9 @@ class ProcessExecutor(ParallelExecutor):
                         [query.index for query in group],
                     )
                 )
-            if tracer is None:
-                futures.append(pool.submit(_resolve_overlap_group, payload))
-            else:
-                futures.append(pool.submit(_resolve_overlap_group, payload, True))
+            futures.append(
+                self._pool.submit(_resolve_overlap_group, payload, tracer is not None)
+            )
         needed0: dict[tuple[int, int], list[PartitionNode]] = {}
         for future in futures:  # merged in submission (group) order
             resolved = future.result()
@@ -676,96 +281,76 @@ class ProcessExecutor(ParallelExecutor):
                     pid=pid,
                 )
             for (query_index, dataset_id), indices in resolved.items():
-                leaves = snapshots[dataset_id].leaves
+                leaves = state.leaf_snapshot(dataset_id).leaves
                 needed0[(query_index, dataset_id)] = [leaves[j] for j in indices]
-        return needed0, versions0
+        return needed0
 
-    def _read_and_filter_process(
+    def read_filter(
         self,
-        batch: QueryBatch,
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        decisions,
-        pool: ProcessPoolExecutor,
-        *,
+        state,
+        disk,
+        dimension: int,
+        queries,
+        plans: list[list[PlanEntry]],
         tracer=None,
         parent=None,
-    ) -> tuple[list[list[SpatialObject]], list[int], tuple[int, int]]:
+    ) -> tuple[list[QueryReads], int, int]:
         """Stage every distinct group's pages once, filter per query in workers."""
-        processor = self._processor
-        catalog = processor.catalog
-        disk = catalog.datasets()[0].disk
         page_size = disk.page_size
-        dtype = catalog.datasets()[0].file.dtype
-
-        plans = {
-            query.index: self._query_plan(query, needed0, decisions)
-            for query in batch.queries
-        }
-        group_reads = sum(len(plan) for plan in plans.values())
-
-        # Stage distinct groups in first-use order (deterministic).  Reads
-        # go through Disk.read_run, so charging, the buffer pool and any
-        # retry/fault wrapper behave exactly as for in-process engines.
-        sources: dict[tuple, tuple] = {}
-        staged_chunks: list[bytes] = []
-        staged_size = 0
-        mmap_cache: dict[str, tuple[str, int] | None] = {}
-        for query in batch.queries:
-            for dataset_id, file, run in plans[query.index]:
+        pool = disk.buffer_pool
+        stats = disk.stats
+        # Stage distinct groups in first-use order (deterministic, and the
+        # order the serial read set reads them in).  Each query's cache
+        # deltas and retries are those of the groups it staged first.
+        sources: dict[tuple, tuple[tuple[int, ...], int]] = {}
+        chunks: list[bytes] = []
+        staged: list[tuple] = []
+        for query in queries:
+            cache_start = pool.counters()
+            retries_start = stats.retries
+            for _, file, run in plans[query.index]:
                 key = (file.name, run.extents, run.n_records)
                 if key in sources:
                     continue
-                if file.name not in mmap_cache:
-                    mmap_cache[file.name] = disk.mmap_descriptor(file.name)
-                descriptor = mmap_cache[file.name]
-                if descriptor is not None:
-                    path, _ = descriptor
-                    offsets = tuple(
-                        page_no * page_size for page_no in run.page_numbers()
-                    )
-                    sources[key] = ("mmap", path, offsets, run.n_records)
-                else:
-                    offsets = []
-                    for extent in run.extents:
-                        for page in disk.read_run(file.name, extent.start, extent.count):
-                            offsets.append(staged_size)
-                            staged_chunks.append(page)
-                            staged_size += page_size
-                    sources[key] = ("shm", tuple(offsets), run.n_records)
-        dedup_hits = group_reads - len(sources)
+                offsets = []
+                for extent in run.extents:
+                    for page in disk.read_run(file.name, extent.start, extent.count):
+                        offsets.append(len(chunks) * page_size)
+                        chunks.append(page)
+                sources[key] = (tuple(offsets), run.n_records)
+            staged.append(
+                (pool.counters().delta_since(cache_start), stats.retries - retries_start)
+            )
+        group_reads = sum(len(plan) for plan in plans)
 
         block = None
-        if staged_size:
-            block = shared_memory.SharedMemory(create=True, size=staged_size)
-            position = 0
-            for chunk in staged_chunks:
-                block.buf[position : position + len(chunk)] = chunk
-                position += page_size
-        del staged_chunks
+        if chunks:
+            block = shared_memory.SharedMemory(create=True, size=len(chunks) * page_size)
+            for position, chunk in enumerate(chunks):
+                start = position * page_size
+                block.buf[start : start + len(chunk)] = chunk
+        del chunks
 
-        results: list[list[SpatialObject]] = [[] for _ in batch.queries]
+        outcomes: list[QueryReads] = []
         try:
             futures = []
-            for query in batch.queries:
+            for query in queries:
                 q_lo, q_hi = box_to_arrays(query.box)
                 task = {
                     "q_lo": q_lo,
                     "q_hi": q_hi,
-                    "dtype": dtype,
-                    "dimension": catalog.dimension,
+                    "dtype": spatial_object_dtype(dimension),
+                    "dimension": dimension,
                     "page_size": page_size,
                     "shm_name": None if block is None else block.name,
                     "trace": tracer is not None,
                     "plan": [
-                        (
-                            dataset_id,
-                            sources[(file.name, run.extents, run.n_records)],
-                        )
+                        (dataset_id, sources[(file.name, run.extents, run.n_records)])
                         for dataset_id, file, run in plans[query.index]
                     ],
                 }
-                futures.append(pool.submit(_filter_query_task, task))
-            for query, future in zip(batch.queries, futures):
+                futures.append(self._pool.submit(_filter_query_task, task))
+            for query, future, (cache_delta, retries) in zip(queries, futures, staged):
                 hits = future.result()
                 if tracer is not None:
                     # Graft the worker-side timing shipped back as data.
@@ -779,14 +364,9 @@ class ProcessExecutor(ParallelExecutor):
                         hits=len(hits),
                         pid=pid,
                     )
-                results[query.index] = hits
+                outcomes.append((hits, cache_delta, retries))
         finally:
             if block is not None:
                 block.close()
                 block.unlink()
-        examined = [0 for _ in batch.queries]
-        for query in batch.queries:
-            examined[query.index] = sum(
-                run.n_records for _, _, run in plans[query.index]
-            )
-        return results, examined, (group_reads, dedup_hits)
+        return outcomes, group_reads, group_reads - len(sources)

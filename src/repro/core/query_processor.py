@@ -16,6 +16,16 @@ For every range query ``Q = {A; DS_1, ..., DS_N}`` the processor
 6. updates the statistics and gives the Merger the chance to create or
    extend a merge file for the queried combination.
 
+That pipeline is written once, for batches, in :mod:`repro.core.batch`:
+:meth:`QueryProcessor.execute` runs it on a batch of one, and
+:meth:`QueryProcessor.execute_batch`, :meth:`~QueryProcessor.prepare_batch`
+and :meth:`~QueryProcessor.commit_batch` run it on many queries with a
+serial, thread or process fan-out over the live state or a pinned epoch.
+The one exception is ``OdysseyConfig(columnar=False)``: :meth:`execute`
+then runs :meth:`QueryProcessor._execute`, the seed's per-record scalar
+pipeline, kept as the independent reference the differential oracle
+(``tests/test_columnar_differential.py``) compares the pipeline against.
+
 A :class:`QueryReport` describing what happened is kept for the last query
 so that tests, examples and the benchmark harness can introspect behaviour
 without re-deriving it from disk counters.
@@ -33,14 +43,12 @@ from repro.core.merge import MergeDirectory, RouteKind, choose_route
 from repro.core.merger import Merger
 from repro.core.partition import PartitionKey, PartitionNode, PartitionTree
 from repro.core.statistics import StatisticsCollector
-from repro.data.columnar import DecodedGroup
 from repro.data.dataset import DatasetCatalog
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
-from repro.geometry.vectorized import box_to_arrays, intersect_mask
 from repro.obs.trace import maybe_span
 from repro.storage.buffer import BufferCounters
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage.disk import Disk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.batch import BatchResult
@@ -51,9 +59,13 @@ class QueryReport:
     """Diagnostics of one executed query.
 
     ``cache`` reports the buffer-pool counter deltas (byte layer and
-    decoded-array layer) attributed to this query; for batched execution
-    the attribution is approximate (reads are shared across the batch) and
-    the field is excluded from the batch-vs-sequential identity guarantee.
+    decoded-array layer) attributed to this query, and ``retries`` the
+    transparent I/O retries absorbed while answering it (tree
+    initialisation, reads and writer phase).  Both are attributed in every
+    mode; in a batch of several queries the attribution is approximate
+    (reads are shared across the batch, and concurrent under a thread
+    fan-out), so both fields are excluded from the cross-mode identity
+    guarantee.
     """
 
     query_index: int
@@ -69,9 +81,6 @@ class QueryReport:
     merge_new_partitions: int = 0
     evicted_merge_files: int = 0
     cache: BufferCounters | None = None
-    #: Transparent I/O retries absorbed while answering this query (only
-    #: attributed on the sequential path; excluded, like ``cache``, from
-    #: the batch-vs-sequential identity guarantee).
     retries: int = 0
 
     @property
@@ -90,13 +99,13 @@ class QueryProcessor:
     every query's answer is exact regardless of that order (results depend
     only on the data and the query window, never on refinement state).
     Parallelism lives *inside* a batch: ``execute_batch(..., workers=K)``
-    fans the read-only phases of one batch across ``K`` threads while the
-    gate is held (see :mod:`repro.core.parallel`).
+    fans the read phase of one batch across ``K`` threads or processes
+    while the gate is held (see :mod:`repro.core.batch`).
 
     With ``OdysseyConfig(snapshot_reads=True)`` (the default) the gate
     additionally becomes a pure *writer* lock for the epoch read path
-    (:mod:`repro.core.epoch`): every gated operation publishes an
-    immutable :class:`~repro.core.epoch.EngineEpoch` on completion, and
+    (:mod:`repro.core.epoch`): every commit publishes an immutable
+    :class:`~repro.core.epoch.EngineEpoch`, and
     ``execute_batch(..., snapshot=True)`` — or the
     :meth:`prepare_batch`/:meth:`commit_batch` pair — runs its whole read
     phase against a pinned epoch without holding the gate, so concurrent
@@ -193,6 +202,11 @@ class QueryProcessor:
         return self._merger
 
     @property
+    def disk(self) -> Disk:
+        """The disk every dataset, partition and merge file lives on."""
+        return self._disk
+
+    @property
     def live_trees(self) -> dict[int, PartitionTree]:
         """The *live* tree map (shared, mutable — unlike :attr:`trees`)."""
         return self._trees
@@ -232,13 +246,15 @@ class QueryProcessor:
         """Journal a manifest at every commit point from now on."""
         self._durability = log
 
-    def commit_durable(self, entries) -> None:
-        """Journal newly committed queries (``(box, dataset_ids)`` pairs).
+    def publish_and_journal(self, entries) -> None:
+        """The commit point: publish the next epoch, then journal ``entries``.
 
-        Must be called with the gate held, *after* the state mutation and
-        epoch publish, so the journal order equals the commit order.  A
-        no-op without an attached durability log or with no entries.
+        ``entries`` are the newly committed ``(box, dataset_ids)`` pairs.
+        Must be called with the gate held, *after* the state mutation, so
+        the journal order equals the commit order.  Journaling is a no-op
+        without an attached durability log.
         """
+        self.publish_epoch()
         if self._durability is not None:
             self._durability.record(entries)
 
@@ -272,11 +288,22 @@ class QueryProcessor:
     # ------------------------------------------------------------------ #
 
     def execute(self, box: Box, dataset_ids: Iterable[int]) -> list[SpatialObject]:
-        """Execute one range query over the requested datasets."""
+        """Execute one range query over the requested datasets.
+
+        Runs the batch pipeline on a batch of one (or, with
+        ``columnar=False``, the scalar reference :meth:`_execute`).
+        """
+        from repro.core.batch import BatchExecutor, QueryBatch
+
         ids = tuple(dataset_ids)
         with self._gate:
             with maybe_span(self._tracer, "query") as span:
-                results = self._execute(box, ids)
+                if self._config.columnar:
+                    batch = QueryBatch(((box, ids),))
+                    results = BatchExecutor(self).run(batch).results[0]
+                else:
+                    results = self._execute(box, ids)
+                    self.publish_and_journal([(box, ids)])
                 if span is not None:
                     report = self._last_report
                     span.attributes.update(
@@ -286,11 +313,14 @@ class QueryProcessor:
                         hits=len(results),
                         refinements=report.refinements,
                     )
-            self.publish_epoch()
-            self.commit_durable([(box, ids)])
             return results
 
     def _execute(self, box: Box, dataset_ids: Iterable[int]) -> list[SpatialObject]:
+        """The seed's per-record scalar pipeline (``columnar=False``).
+
+        Kept independent of :mod:`repro.core.batch` on purpose: it is the
+        reference the columnar pipeline is proven bit-identical against.
+        """
         requested = frozenset(dataset_ids)
         if not requested:
             raise ValueError("a query must request at least one dataset")
@@ -299,7 +329,6 @@ class QueryProcessor:
         report = QueryReport(
             query_index=self._queries_executed, requested=tuple(sorted(requested))
         )
-        columnar = self._config.columnar
         cache_start = self._disk.buffer_pool.counters()
         retries_start = self._disk.stats.retries
         self._statistics.tick()
@@ -313,18 +342,12 @@ class QueryProcessor:
                     self._trees[dataset_id] = tree
                 report.initialized_datasets.append(dataset_id)
 
-        # 2. Locate the leaf partitions each dataset must read.  The
-        # columnar path tests the query window against the tree's cached
-        # leaf-MBR arrays in one kernel call; leaves and their order are
-        # identical to the scalar DFS walk.
+        # 2. Locate the leaf partitions each dataset must read.
         needed: dict[int, list[PartitionNode]] = {}
         for dataset_id in sorted(requested):
             tree = self._trees[dataset_id]
-            extended = box.expand(tree.max_extent).clamp(tree.universe)
-            needed[dataset_id] = (
-                tree.leaves_overlapping_vectorized(extended)
-                if columnar
-                else tree.leaves_overlapping(extended)
+            needed[dataset_id] = tree.leaves_overlapping(
+                box.expand(tree.max_extent).clamp(tree.universe)
             )
 
         # 3. Routing: merge file vs individual partition files.
@@ -361,34 +384,13 @@ class QueryProcessor:
                     individual_plan.append((dataset_id, leaf))
             accessed_keys[dataset_id] = keys
 
-        if columnar:
-            # Vectorized filtering: each stored group decodes into columnar
-            # arrays, dataset membership and window overlap become one mask,
-            # and SpatialObject instances exist only for the final hits.
-            dimension = self._catalog.dimension
-            q_lo, q_hi = box_to_arrays(box)
-
-            def _filter_run(
-                file: PagedFile[SpatialObject], run: StoredRun | None, dataset_id: int
-            ) -> int:
-                if run is None or run.n_records == 0:
-                    return 0
-                group = DecodedGroup.from_records(file.read_group_array(run), dimension)
-                mask = (group.dataset_ids == dataset_id) & intersect_mask(
-                    q_lo, q_hi, group.lo, group.hi
-                )
-                results.extend(group.materialize(mask))
-                return group.n_records
-
-        else:
-
-            def _filter(objects: list[SpatialObject], dataset_id: int) -> int:
-                count = 0
-                for obj in objects:
-                    count += 1
-                    if obj.dataset_id == dataset_id and obj.intersects(box):
-                        results.append(obj)
-                return count
+        def _filter(objects: list[SpatialObject], dataset_id: int) -> int:
+            count = 0
+            for obj in objects:
+                count += 1
+                if obj.dataset_id == dataset_id and obj.intersects(box):
+                    results.append(obj)
+            return count
 
         if merge_plan and info is not None:
             merge_file = self._merger.merge_file(info.combination)
@@ -398,22 +400,13 @@ class QueryProcessor:
             for dataset_id, leaf in merge_plan:
                 report.partitions_from_merge += 1
                 segment = info.segment(leaf.key, dataset_id)
-                if columnar:
-                    examined += _filter_run(merge_file, segment, dataset_id)
-                else:
-                    examined += _filter(merge_file.read_group(segment), dataset_id)
+                examined += _filter(merge_file.read_group(segment), dataset_id)
         individual_plan.sort(key=lambda item: (item[0], self._partition_start(item[1])))
         for dataset_id, leaf in individual_plan:
-            if columnar:
-                examined += _filter_run(
-                    self._trees[dataset_id].file, leaf.run, dataset_id
-                )
-            else:
-                examined += _filter(
-                    self._trees[dataset_id].read_partition(leaf), dataset_id
-                )
-        tree_disk = self._catalog.get(next(iter(requested))).disk
-        tree_disk.charge_cpu_records(examined)
+            examined += _filter(
+                self._trees[dataset_id].read_partition(leaf), dataset_id
+            )
+        self._disk.charge_cpu_records(examined)
         report.objects_examined = examined
         report.results = len(results)
 
@@ -444,35 +437,21 @@ class QueryProcessor:
         snapshot: bool = False,
         executor: str | None = None,
     ) -> "BatchResult":
-        """Execute a batch of queries through the batched engine.
+        """Execute a batch of queries through the one pipeline.
 
         See :mod:`repro.core.batch` for the execution model; result sets
         and post-batch adaptive state are identical to calling
-        :meth:`execute` once per query in order (hit order within a
-        result and ``QueryReport.objects_examined`` may differ).
-
-        ``workers`` selects a parallel executor
-        (:mod:`repro.core.parallel`): ``None`` or ``1`` runs the serial
-        batch engine; ``K > 1`` fans the read-only phases across ``K``
-        workers with results, reports, adaptive state and on-disk bytes
-        bit-identical to the serial batch.  ``executor`` picks the pool
-        flavour — ``"thread"`` shares the engine's memory and relies on
-        NumPy releasing the GIL; ``"process"`` ships page bytes to worker
-        processes over shared memory (or lets them ``mmap`` the page
-        files of a plain filesystem backend) so decode + filter scale
-        past the GIL.  ``None`` defers to
-        ``OdysseyConfig.batch_executor``.
-
-        ``snapshot=True`` routes through the epoch executor
-        (:mod:`repro.core.epoch`): the read phase runs against a pinned
-        immutable epoch *without* holding the gate, and only the short
-        writer phase serializes — so concurrent batches overlap their
-        reads.  In isolation the epoch executor is bit-identical to the
-        batch executor (reports and ``objects_examined`` included);
-        requires ``OdysseyConfig(snapshot_reads=True)``.  Snapshot reads
-        are thread-only (the epoch object graph is not shipped across
-        processes); combining ``snapshot=True`` with
-        ``executor="process"`` raises ``ValueError``.
+        :meth:`execute` once per query in order (``objects_examined`` may
+        differ).  ``workers`` and ``executor`` pick the read phase's
+        fan-out: ``None`` or ``1`` is serial; ``K > 1`` runs it on ``K``
+        threads (``executor="thread"``) or worker processes
+        (``"process"``, :mod:`repro.core.parallel`); ``executor=None``
+        defers to ``OdysseyConfig.batch_executor``.  ``snapshot=True``
+        reads a pinned epoch without the gate (:mod:`repro.core.epoch`;
+        requires ``OdysseyConfig(snapshot_reads=True)``, thread fan-out
+        only — ``executor="process"`` raises ``ValueError``).  Every
+        combination is bit-identical to the serial batch in results (hit
+        order included), reports, adaptive state and on-disk bytes.
         """
         from repro.core.batch import BatchExecutor, QueryBatch
 
@@ -484,51 +463,55 @@ class QueryProcessor:
         if snapshot:
             if executor == "process":
                 raise ValueError("snapshot reads do not support executor='process'")
-            if self._epochs is None:
-                raise RuntimeError(
-                    "snapshot reads require OdysseyConfig(snapshot_reads=True)"
-                )
-            from repro.core.epoch import EpochExecutor
-
-            return EpochExecutor(self, workers).run(batch)
-        with self._gate:
-            if workers is not None and workers != 1:
-                if executor == "process":
-                    from repro.core.parallel import ProcessExecutor
-
-                    result = ProcessExecutor(self, workers).run(batch)
-                else:
-                    from repro.core.parallel import ParallelExecutor
-
-                    result = ParallelExecutor(self, workers).run(batch)
-            else:
-                result = BatchExecutor(self).run(batch)
-            self.publish_epoch()
-            self.commit_durable((q.box, q.requested) for q in batch.queries)
-            return result
+            self._require_epochs()
+        fan_out = self._fan_out(workers, executor)
+        return BatchExecutor(self, fan_out, snapshot=snapshot).run(batch)
 
     def prepare_batch(self, queries, workers: int | None = None):
         """Run the lock-free read phase of a snapshot batch.
 
         Pins the current epoch, resolves overlaps, reads and filters every
         query against the pinned snapshot — all without the gate — and
-        returns an opaque prepared batch for :meth:`commit_batch`.  The
-        serving dispatcher uses this split to overlap the read phase of
-        batch N+1 with the writer phase of batch N.
+        returns a :class:`~repro.core.batch.PreparedBatch` for
+        :meth:`commit_batch`.  The serving dispatcher uses this split to
+        overlap the read phase of batch N+1 with the writer phase of
+        batch N.
         """
+        from repro.core.batch import BatchExecutor, QueryBatch
+
+        self._require_epochs()
+        batch = queries if isinstance(queries, QueryBatch) else QueryBatch(queries)
+        fan_out = self._fan_out(workers, "thread")
+        return BatchExecutor(self, fan_out, snapshot=True).prepare(batch)
+
+    def commit_batch(self, prepared) -> "BatchResult":
+        """Apply a prepared batch's writer phase (gate-held, in order).
+
+        A prepared batch commits once, and only on the engine that
+        prepared it; otherwise ``ValueError`` is raised before any state
+        changes.
+        """
+        from repro.core.batch import BatchExecutor
+
+        return BatchExecutor(self).commit(prepared)
+
+    def _require_epochs(self) -> None:
         if self._epochs is None:
             raise RuntimeError(
                 "snapshot reads require OdysseyConfig(snapshot_reads=True)"
             )
-        from repro.core.batch import QueryBatch
-        from repro.core.epoch import EpochExecutor
 
-        batch = queries if isinstance(queries, QueryBatch) else QueryBatch(queries)
-        return EpochExecutor(self, workers).prepare(batch)
+    def _fan_out(self, workers: int | None, executor: str):
+        """The read phase's fan-out: serial for ``None`` or ``1`` workers."""
+        from repro.core.batch import SERIAL, ThreadFanOut
 
-    def commit_batch(self, prepared) -> "BatchResult":
-        """Apply a prepared batch's writer phase (gate-held, in order)."""
-        return prepared.executor.commit(prepared)
+        if workers is None or workers == 1:
+            return SERIAL
+        if executor == "process":
+            from repro.core.parallel import ProcessFanOut
+
+            return ProcessFanOut(workers)
+        return ThreadFanOut(workers)
 
     @staticmethod
     def _segment_start(info, key: PartitionKey, dataset_id: int) -> int:

@@ -9,8 +9,9 @@ show all five execution modes produce bit-identical adaptive state and
 on-disk bytes from the same query sequence).  Recovery exploits it: the
 durable manifest is not a physical redo log but a **logical query log**.
 
-At every commit point (each :meth:`QueryProcessor.execute`, and each
-batch's gated writer phase) the engine appends a manifest to a
+At every commit point (the gated writer phase of every batch —
+``query()`` is a batch of one — and each scalar-reference query) the
+engine appends a manifest to a
 :class:`~repro.storage.journal.ManifestJournal`: the catalog and disk
 geometry, the configuration, and the full ordered list of committed
 queries.  The journal is checksummed and torn-tail tolerant, so a crash

@@ -202,18 +202,6 @@ class FileSystemBackend(StorageBackend):
         safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
         return self._root / f"{safe}.pages"
 
-    def page_file_path(self, name: str) -> Path:
-        """The real on-disk file holding a logical file's pages.
-
-        The process-parallel executor hands this path to its workers,
-        which ``mmap`` the file read-only and decode pages as
-        ``np.frombuffer`` views straight over the mapping (the per-page
-        CRC trailer is verified on every access, so a torn write is
-        detected exactly as it is through :meth:`read`).  Raises
-        :class:`MissingFileError` when the file does not exist.
-        """
-        return self._require(name)
-
     def create(self, name: str) -> None:
         path = self._path(name)
         if path.exists():

@@ -48,7 +48,7 @@ Sharding
 :class:`ShardedBufferPool` splits the page budget over N independent
 :class:`BufferPool` shards, each guarded by its own lock, with pages routed
 to shards by a deterministic hash of ``(file_name, page_no)``.  It exists
-for the thread-parallel batch executor (:mod:`repro.core.parallel`): with
+for the thread fan-out of the batch pipeline (:mod:`repro.core.batch`): with
 lock striping, concurrent readers touching different pages never contend
 on one global cache lock.  Routing uses ``zlib.crc32`` rather than Python's
 ``hash`` so shard assignment — and therefore eviction behaviour and the
@@ -95,19 +95,18 @@ class BufferCounters:
     def delta_since(self, earlier: "BufferCounters") -> "BufferCounters":
         """Counter increments between ``earlier`` and this snapshot."""
         return BufferCounters(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
+            *[getattr(self, name) - getattr(earlier, name) for name in _COUNTER_FIELDS]
         )
 
     def __add__(self, other: "BufferCounters") -> "BufferCounters":
         return BufferCounters(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
+            *[getattr(self, name) + getattr(other, name) for name in _COUNTER_FIELDS]
         )
+
+
+#: Field names of :class:`BufferCounters`, in declaration order (computed
+#: once: per-query attribution does this arithmetic several times a query).
+_COUNTER_FIELDS = tuple(f.name for f in fields(BufferCounters))
 
 
 class BufferPool:

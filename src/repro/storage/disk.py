@@ -19,8 +19,8 @@ cached read would not move a real disk arm.
 Thread safety
 -------------
 Every page access and every cost charge runs under one internal lock, so
-concurrent readers (the thread-parallel batch executor of
-:mod:`repro.core.parallel`) can never corrupt the head position, the
+concurrent readers (the thread fan-out of the batch pipeline in
+:mod:`repro.core.batch`) can never corrupt the head position, the
 :class:`~repro.storage.cost_model.IOStats` accumulators or the buffer
 pool's byte layer.  The lock covers only the cheap bookkeeping + page-copy
 work; page *decoding* and filtering happen outside it (in
@@ -132,31 +132,6 @@ class Disk:
     def page_size(self) -> int:
         """Page size in bytes."""
         return self._model.page_size
-
-    def mmap_descriptor(self, name: str) -> tuple[str, int] | None:
-        """``(path, page_size)`` for zero-copy page access, if available.
-
-        The process-parallel executor ships this descriptor to its worker
-        processes, which ``mmap`` the file read-only and decode pages
-        straight over the mapping.  Only a *plain*
-        :class:`~repro.storage.backend.FileSystemBackend` qualifies:
-        wrapped backends (fault injection, retry layers) must keep every
-        read on the normal :meth:`read_run` path so their semantics are
-        preserved, and in-memory backends have no file to map — those
-        cases return ``None`` and the executor stages page bytes through
-        shared memory instead.  mmap reads bypass the cost accounting and
-        the buffer pool (a documented deviation of the process engine:
-        the simulated I/O trace is already execution-order-dependent for
-        any parallel mode and never feeds back into results or adaptive
-        decisions).
-        """
-        from repro.storage.backend import FileSystemBackend
-
-        if type(self._backend) is not FileSystemBackend:
-            return None
-        if not self.file_exists(name):
-            return None
-        return str(self._backend.page_file_path(name)), self.page_size
 
     @property
     def stats(self) -> IOStats:

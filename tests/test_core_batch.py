@@ -210,3 +210,96 @@ class TestQueryBatchExecution:
         result = odyssey.query_batch(workload)
         assert len(result) == 6
         assert odyssey.summary().queries_executed == 6
+
+
+_MERGE_CONFIG = OdysseyConfig(
+    merge_threshold=1,
+    min_merge_combination=2,
+    merge_partition_min_hits=1,
+    merge_only_converged=False,
+)
+
+
+def _clustered_workload(suite, n, seed):
+    from repro.bench.runner import generate_workload
+
+    return list(
+        generate_workload(
+            suite.universe,
+            suite.catalog.dataset_ids(),
+            n,
+            seed=seed,
+            datasets_per_query=3,
+            volume_fraction=5e-3,
+            ranges="clustered",
+            ids_distribution="heavy_hitter",
+        )
+    )
+
+
+class TestReadPlans:
+    def test_empty_merge_segments_are_not_read(self, suite, monkeypatch):
+        """A merge-routed batch reads only its non-empty segments and runs."""
+        from repro.storage.pagedfile import PagedFile
+
+        workload = _clustered_workload(suite, 30, seed=61)
+        engine = SpaceOdyssey(suite.catalog, _MERGE_CONFIG)
+        for query in workload:
+            engine.query(query.box, query.dataset_ids)
+        empty_segments = [
+            run
+            for info in engine.merge_directory.all_files()
+            for per_dataset in info.entries.values()
+            for run in per_dataset.values()
+            if run.n_records == 0
+        ]
+        assert empty_segments, "the scenario must hold empty merge segments"
+
+        loaded = []
+        original = PagedFile.read_group_array_at
+
+        def spy(file, run, lookup):
+            loaded.append(run)
+            return original(file, run, lookup)
+
+        monkeypatch.setattr(PagedFile, "read_group_array_at", spy)
+        prepared = engine.prepare_batch(workload)
+        monkeypatch.undo()
+        result = engine.commit_batch(prepared)
+        assert any(report.partitions_from_merge for report in result.reports)
+        assert loaded and all(run.n_records > 0 for run in loaded)
+        # group_reads counts exactly the non-empty plan entries: the
+        # distinct groups loaded plus the reads the dedup served.
+        assert result.group_reads == len(loaded) + result.group_reads_deduped
+
+
+class TestPreparedBatchCommit:
+    def _engine_state(self, engine):
+        stats = engine.disk.stats_snapshot()
+        return engine.summary(), stats.cpu_seconds, stats.pages_written
+
+    def test_second_commit_is_rejected(self, suite):
+        engine = SpaceOdyssey(suite.catalog, _MERGE_CONFIG)
+        prepared = engine.prepare_batch(_clustered_workload(suite, 4, seed=3))
+        engine.commit_batch(prepared)
+        before = self._engine_state(engine)
+        epoch = engine.epochs.current
+        with pytest.raises(ValueError, match="already committed"):
+            engine.commit_batch(prepared)
+        assert self._engine_state(engine) == before
+        assert engine.summary().queries_executed == 4
+        assert engine.epochs.current is epoch
+
+    def test_commit_on_another_engine_is_rejected(self, suite):
+        preparer = SpaceOdyssey(suite.fork().catalog, _MERGE_CONFIG)
+        other = SpaceOdyssey(suite.fork().catalog, _MERGE_CONFIG)
+        prepared = preparer.prepare_batch(_clustered_workload(suite, 4, seed=3))
+        preparer_before = self._engine_state(preparer)
+        other_before = self._engine_state(other)
+        with pytest.raises(ValueError, match="engine that prepared it"):
+            other.commit_batch(prepared)
+        assert self._engine_state(other) == other_before
+        assert self._engine_state(preparer) == preparer_before
+        # The batch is still committable where it belongs.
+        assert len(preparer.commit_batch(prepared)) == 4
+        assert preparer.summary().queries_executed == 4

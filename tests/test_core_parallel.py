@@ -1,7 +1,7 @@
-"""Unit tests for the thread-parallel batch executor.
+"""Unit tests for the thread and process fan-outs of the batch pipeline.
 
 The heavy equivalence checking lives in the fuzz harness
-(``tests/test_engine_fuzz.py``); this file covers the executor's API
+(``tests/test_engine_fuzz.py``); this file covers the fan-outs' API
 surface and the thread-safe read set directly.
 """
 
@@ -12,10 +12,9 @@ import threading
 import pytest
 
 from repro.bench.runner import generate_workload
-from repro.core.batch import BatchExecutor, BatchReadSet, QueryBatch
+from repro.core.batch import BatchReadSet, QueryBatch, ThreadFanOut
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.parallel import ParallelExecutor, ParallelReadSet, default_workers
 from repro.data.spatial_object import spatial_object_codec
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
@@ -81,24 +80,22 @@ class TestParallelExecutor:
         assert parallel.disk.stats.cpu_seconds == serial.disk.stats.cpu_seconds
 
     def test_workers_one_uses_serial_engine(self, suite):
-        executor = ParallelExecutor(
-            SpaceOdyssey(suite.fork().catalog)._processor, workers=1
-        )
-        assert executor.workers == 1
-        # A single-query batch short-circuits too, whatever the worker count.
-        assert ParallelExecutor(
-            SpaceOdyssey(suite.fork().catalog)._processor, workers=8
-        ).workers == 8
+        odyssey = SpaceOdyssey(suite.fork().catalog)
+        tracer = odyssey.enable_tracing()
+        odyssey.query_batch(_workload(suite, n=4), workers=1)
+        roots = [span for span in tracer.finished() if span.name == "batch"]
+        assert [span.attributes["executor"] for span in roots] == ["serial"]
+        assert [span.attributes["workers"] for span in roots] == [1]
 
     def test_invalid_workers_rejected(self, suite):
         odyssey = SpaceOdyssey(suite.fork().catalog)
         with pytest.raises(ValueError):
             odyssey.query_batch([], workers=0)
         with pytest.raises(ValueError):
-            ParallelExecutor(odyssey._processor, workers=-2)
-
-    def test_default_workers_positive_and_bounded(self):
-        assert 1 <= default_workers() <= 8
+            odyssey.query_batch(_workload(suite, n=2), workers=-2)
+        with pytest.raises(ValueError):
+            ThreadFanOut(-2)
+        assert odyssey.summary().queries_executed == 0
 
     def test_empty_and_single_query_batches(self, suite):
         odyssey = SpaceOdyssey(suite.fork().catalog)
@@ -129,6 +126,8 @@ class TestParallelExecutor:
 
 
 class TestParallelReadSet:
+    """The one read set, shared by every fan-out and both read states."""
+
     @pytest.fixture
     def stored_groups(self):
         disk = Disk(model=DiskModel(), buffer_pages=64)
@@ -145,19 +144,21 @@ class TestParallelReadSet:
         return file, runs
 
     def test_counters_match_serial_read_set(self, stored_groups):
+        """An epoch page lookup that finds nothing reads exactly like live."""
         file, runs = stored_groups
-        serial = BatchReadSet(3)
-        parallel = ParallelReadSet(3)
+        live = BatchReadSet(3)
+        pinned = BatchReadSet(3, lookup=lambda name, page_no: None)
         sequence = [runs[0], runs[1], runs[0], runs[2], runs[1], runs[0]]
         for run in sequence:
-            serial.read(file, run)
-            parallel.read(file, run)
-        assert parallel.group_reads == serial.group_reads == len(sequence)
-        assert parallel.dedup_hits == serial.dedup_hits == len(sequence) - len(runs)
+            expected = live.read(file, run)
+            actual = pinned.read(file, run)
+            assert actual.oids.tolist() == expected.oids.tolist()
+        assert pinned.group_reads == live.group_reads == len(sequence)
+        assert pinned.dedup_hits == live.dedup_hits == len(sequence) - len(runs)
 
     def test_concurrent_reads_decode_each_group_once(self, stored_groups):
         file, runs = stored_groups
-        read_set = ParallelReadSet(3)
+        read_set = BatchReadSet(3)
         seen = []
         barrier = threading.Barrier(6)
 
@@ -202,12 +203,12 @@ class TestProcessExecutor:
         process = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
         self._compare(serial, process, workload)
 
-    def test_bit_identical_on_filesystem_backend(self, tmp_path):
-        """Filesystem backend: workers mmap the page files zero-copy."""
+    @staticmethod
+    def _filesystem_suite(tmp_path):
         from repro.data.suite import build_benchmark_suite
         from repro.storage.backend import FileSystemBackend
 
-        fs_suite = build_benchmark_suite(
+        return build_benchmark_suite(
             n_datasets=3,
             objects_per_dataset=250,
             seed=19,
@@ -217,17 +218,32 @@ class TestProcessExecutor:
                 buffer_pages=64,
             ),
         )
+
+    def test_bit_identical_on_filesystem_backend(self, tmp_path):
+        """Filesystem backend: the parent stages the pages it read."""
+        fs_suite = self._filesystem_suite(tmp_path)
         workload = _workload(fs_suite, n=16)
         serial = SpaceOdyssey(fs_suite.fork().catalog, MERGE_CONFIG)
         process = SpaceOdyssey(fs_suite.fork().catalog, MERGE_CONFIG)
-        # Sanity: the mmap fast path is actually available on this backend.
-        raw = process.catalog.datasets()[0].file.name
-        assert process.disk.mmap_descriptor(raw) is not None
         self._compare(serial, process, workload)
+
+    def test_filesystem_reads_are_charged_like_serial(self, tmp_path):
+        """Every page a process batch reads is charged, as in the serial batch."""
+        fs_suite = self._filesystem_suite(tmp_path)
+        workload = _workload(fs_suite, n=16)
+        # No buffer pool: every page read reaches the page files.
+        serial = SpaceOdyssey(fs_suite.fork(buffer_pages=0).catalog, MERGE_CONFIG)
+        process = SpaceOdyssey(fs_suite.fork(buffer_pages=0).catalog, MERGE_CONFIG)
+        serial.query_batch(workload)
+        process.query_batch(workload, workers=3, executor="process")
+        expected = serial.disk.stats_snapshot()
+        actual = process.disk.stats_snapshot()
+        assert actual.pages_read == expected.pages_read
+        assert actual.seeks == expected.seeks
+        assert actual.simulated_seconds == expected.simulated_seconds
 
     def test_workers_one_uses_serial_engine(self, suite):
         from repro.core import parallel as parallel_mod
-        from repro.core.parallel import ProcessExecutor
 
         engine = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
         workload = _workload(suite, n=6)

@@ -7,7 +7,7 @@ workload (length, combination sizes, range/ids distributions) — and the
 same query sequence is executed through all six execution paths:
 
 * **scalar** — the seed per-record reference (``columnar=False``, ``query``);
-* **columnar** — the vectorized sequential engine (``query``);
+* **columnar** — ``query``: the batch pipeline on batches of one;
 * **batch** — ``query_batch`` in random-size chunks, serial executor;
 * **parallel** — ``query_batch`` in the same chunks, ``workers`` threads;
 * **epoch** — ``query_batch(..., snapshot=True)`` in the same chunks:
@@ -15,7 +15,7 @@ same query sequence is executed through all six execution paths:
   epoch and read lock-free;
 * **process** — ``query_batch(..., executor="process")`` in the same
   chunks: page decode + filtering in worker *processes* over
-  shared-memory staged pages (:class:`~repro.core.parallel.ProcessExecutor`).
+  shared-memory staged pages (:class:`~repro.core.parallel.ProcessFanOut`).
 
 Agreement is asserted at the strength each pair guarantees:
 

@@ -146,6 +146,10 @@ class TestCLI:
             assert payload["phases"][phase]["wall_seconds"] >= 0
         assert payload["speedups"]["sequential_columnar_vs_scalar"] > 0
         assert payload["pages"]["raw"] > 0
+        # The sweep records the pool it measured, not the shard request:
+        # a pool never has more shards than pages (one when it has none).
+        parallel = payload["phases"]["steady_parallel"]
+        assert 1 <= parallel["buffer_shards"] <= max(1, parallel["buffer_capacity_pages"])
         serve = payload["phases"]["steady_serve"]
         assert serve["completed"] == serve["queries"] > 0
         assert serve["failed"] == 0

@@ -91,3 +91,56 @@ class TestExplorationSummary:
         assert summary.datasets_initialized == 0
         assert summary.total_partitions == 0
         assert summary.max_tree_depth == 0
+
+
+class TestRetryAttribution:
+    """``QueryReport.retries`` counts the transient faults a query absorbed."""
+
+    @staticmethod
+    def _faulty_engine(suite):
+        from repro.storage.errors import TransientIOError
+        from repro.storage.faults import FaultInjectingBackend, FaultPlan
+        from repro.storage.retry import RetryingBackend, RetryPolicy
+
+        from tests.test_recovery import fork_with
+
+        class OneReadFault(FaultInjectingBackend):
+            """Fails the first read after (re)arming, then disarms itself."""
+
+            def read(self, name, page_no):
+                try:
+                    return super().read(name, page_no)
+                except TransientIOError:
+                    self.disarm()
+                    raise
+
+        faulty = fork_with(
+            suite,
+            lambda backend: RetryingBackend(
+                OneReadFault(backend, FaultPlan(seed=1, read_error_rate=1.0)),
+                RetryPolicy(seed=1),
+                sleep=lambda _s: None,
+            ),
+        )
+        fault = faulty.disk.backend.inner
+        fault.disarm()
+        return SpaceOdyssey(faulty.catalog), fault
+
+    @pytest.mark.parametrize("path", ["query", "query_batch"])
+    def test_report_of_the_absorbing_query_counts_the_retry(self, suite, path):
+        engine, fault = self._faulty_engine(suite)
+        box = Box.cube(suite.universe.center, suite.universe.side(0) * 0.3)
+        box = box.clamp(suite.universe)
+        engine.query(box, [0, 1])  # initialise both trees fault-free
+        assert engine.last_report.retries == 0
+        engine.disk.clear_cache()
+        fault.rearm()
+        if path == "query":
+            engine.query(box, [0, 1])
+            reports = [engine.last_report]
+        else:
+            reports = engine.query_batch([(box, [0, 1]), (box, [1])]).reports
+        assert fault.counters().transient_read_errors == 1
+        assert engine.disk.stats_snapshot().retries == 1
+        assert reports[0].retries == 1
+        assert sum(report.retries for report in reports) == 1
